@@ -27,6 +27,10 @@ const bench::Instance& SharedInstance() {
   return instance;
 }
 
+/// The sweep kernel alone (phase two), at k trees per sweep: one upward
+/// phase outside the timed loop, then the same sweep repeated over its
+/// labels. Every repetition does identical work, since marked rows reload
+/// their final labels and unmarked rows restart from +infinity.
 void BM_SweepKernel(benchmark::State& state, SimdMode mode) {
   const uint32_t k = static_cast<uint32_t>(state.range(0));
   if (!SimdModeAvailable(mode)) {
@@ -39,18 +43,33 @@ void BM_SweepKernel(benchmark::State& state, SimdMode mode) {
   Phast::Workspace ws = engine.MakeWorkspace(k);
   const std::vector<VertexId> sources =
       bench::SampleSources(engine.NumVertices(), k, 3);
+  engine.RunUpwardPhase(sources, ws);
+  const SweepKernelFn kernel =
+      SelectSweepKernel(mode, k, /*want_parents=*/false,
+                        options.implicit_init);
+  const SweepArgs args = engine.MakeSweepArgs(ws);
   for (auto _ : state) {
-    engine.ComputeTrees(sources, ws);
+    kernel(args, 0, engine.NumVertices());
+    benchmark::ClobberMemory();
   }
+  engine.FinishExternalSweep(ws);
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) * k);
   state.SetLabel(engine.KernelNameFor(k));
 }
 
+// k = 1 and the service's batch widths (multiples of 4 up to 16); each ISA
+// runs the widths its register divides.
 BENCHMARK_CAPTURE(BM_SweepKernel, scalar, SimdMode::kScalar)
     ->Arg(1)
     ->Arg(4)
+    ->Arg(8)
+    ->Arg(12)
     ->Arg(16);
-BENCHMARK_CAPTURE(BM_SweepKernel, sse, SimdMode::kSse)->Arg(4)->Arg(16);
+BENCHMARK_CAPTURE(BM_SweepKernel, sse, SimdMode::kSse)
+    ->Arg(4)
+    ->Arg(8)
+    ->Arg(12)
+    ->Arg(16);
 BENCHMARK_CAPTURE(BM_SweepKernel, avx2, SimdMode::kAvx2)->Arg(8)->Arg(16);
 
 template <typename Queue, typename... Args>
@@ -89,19 +108,25 @@ BENCHMARK(BM_DijkstraDial);
 BENCHMARK(BM_DijkstraRadix);
 BENCHMARK(BM_DijkstraSmartQueue);
 
+/// Phase one alone: the k upward searches of one batch (k = 16 is the
+/// batch_trees width).
 void BM_UpwardSearch(benchmark::State& state) {
+  const uint32_t k = static_cast<uint32_t>(state.range(0));
   const Phast engine(SharedInstance().ch);
-  Phast::Workspace ws = engine.MakeWorkspace();
+  Phast::Workspace ws = engine.MakeWorkspace(k);
   Rng rng(9);
+  std::vector<VertexId> sources(k);
   for (auto _ : state) {
-    const VertexId s =
-        static_cast<VertexId>(rng.NextBounded(engine.NumVertices()));
-    engine.RunUpwardPhase({&s, 1}, ws);
+    for (VertexId& s : sources) {
+      s = static_cast<VertexId>(rng.NextBounded(engine.NumVertices()));
+    }
+    engine.RunUpwardPhase(sources, ws);
     engine.FinishExternalSweep(ws);
     benchmark::DoNotOptimize(ws.UpwardSearchSpace());
   }
+  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) * k);
 }
-BENCHMARK(BM_UpwardSearch);
+BENCHMARK(BM_UpwardSearch)->Arg(1)->Arg(16);
 
 // The tracing zero-overhead pair (DESIGN.md §8): with PHAST_TRACING=OFF
 // the PHAST_SPAN macro expands to nothing and BM_SpanOverhead must time

@@ -41,7 +41,7 @@ void EventLoop::Add(int fd, uint32_t events, FdHandler handler) {
   ev.data.fd = fd;
   Require(::epoll_ctl(epoll_fd_, EPOLL_CTL_ADD, fd, &ev) == 0,
           std::string("epoll_ctl(add) failed: ") + std::strerror(errno));
-  handlers_[fd] = std::move(handler);
+  handlers_[fd] = std::make_shared<FdHandler>(std::move(handler));
 }
 
 void EventLoop::Modify(int fd, uint32_t events) {
@@ -101,10 +101,13 @@ void EventLoop::Run() {
         continue;
       }
       // Re-resolve per event: an earlier handler in this batch may have
-      // removed this fd (e.g. closed a connection the router shed).
+      // removed this fd (e.g. closed a connection the router shed). The
+      // local reference keeps a handler that removes itself alive until it
+      // returns.
       const auto it = handlers_.find(fd);
       if (it == handlers_.end()) continue;
-      it->second(events[i].events);
+      const std::shared_ptr<FdHandler> handler = it->second;
+      (*handler)(events[i].events);
     }
   }
 }

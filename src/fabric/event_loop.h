@@ -3,6 +3,7 @@
 #include <atomic>
 #include <cstdint>
 #include <functional>
+#include <memory>
 #include <unordered_map>
 
 namespace phast::fabric {
@@ -30,8 +31,10 @@ class EventLoop {
   /// enabling EPOLLOUT while an outbound buffer drains). Loop-thread only.
   void Modify(int fd, uint32_t events);
   /// Deregisters; the fd itself stays open (the owner closes it).
-  /// Loop-thread only, but safe from within any handler: removal during
-  /// dispatch is deferred-safe because handlers are looked up per event.
+  /// Loop-thread only, but safe from within any handler — including the
+  /// handler of `fd` itself: dispatch holds a reference to the running
+  /// handler, so its captures stay alive until it returns, and later events
+  /// of the same epoll batch are looked up afresh and skipped.
   void Remove(int fd);
 
   /// Handler for Wake() ticks, run on the loop thread with the eventfd
@@ -52,7 +55,7 @@ class EventLoop {
   int wake_fd_ = -1;
   std::atomic<bool> stopped_{false};
   std::function<void()> wake_handler_;
-  std::unordered_map<int, FdHandler> handlers_;
+  std::unordered_map<int, std::shared_ptr<FdHandler>> handlers_;
 };
 
 }  // namespace phast::fabric

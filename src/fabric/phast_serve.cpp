@@ -149,7 +149,7 @@ int main(int argc, char** argv) {
     const obs::SweepProfile& profile = ws.Profile();
     std::fprintf(stderr,
                  "phast_serve: startup profile: %zu levels, %llu arcs, "
-                 "upward %.3f ms (%llu pops), sweep %.3f ms\n",
+                 "upward %.3f ms (%llu settled), sweep %.3f ms\n",
                  profile.levels.size(),
                  static_cast<unsigned long long>(profile.TotalArcs()),
                  static_cast<double>(profile.upward.nanos) * 1e-6,

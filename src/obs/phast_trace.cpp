@@ -84,7 +84,7 @@ int main(int argc, char** argv) {
   }
 
   const obs::SweepProfile& profile = ws.Profile();
-  std::printf("last batch (k=%u): upward %.3f ms (%llu pops, %llu arcs), "
+  std::printf("last batch (k=%u): upward %.3f ms (%llu settled, %llu arcs), "
               "sweep %.3f ms\n",
               profile.k, static_cast<double>(profile.upward.nanos) * 1e-6,
               static_cast<unsigned long long>(profile.upward.queue_pops),

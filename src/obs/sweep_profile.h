@@ -3,7 +3,7 @@
 // a handful of huge low levels scanned at memory bandwidth and a long tail
 // of tiny high ones. SweepProfile captures exactly that for one batch:
 // per-level vertex/arc counts, kernel nanoseconds, and modeled bytes (so a
-// derived effective bandwidth), plus the upward CH search's queue/arc work.
+// derived effective bandwidth), plus the upward CH search's settle/arc work.
 // Collection is opt-in via PhastOptions::collect_profile.
 #pragma once
 
@@ -30,8 +30,10 @@ struct LevelProfile {
 
 /// Phase-one (upward CH search) work counters for the batch.
 struct UpwardStats {
-  uint64_t queue_pops = 0;    ///< heap extractions across all k sources
-  uint64_t arcs_relaxed = 0;  ///< upward arcs whose relaxation was attempted
+  /// Vertices settled across all k sources. The name (and JSON key) dates
+  /// from the heap-based search, where each settle was a queue pop.
+  uint64_t queue_pops = 0;
+  uint64_t arcs_relaxed = 0;  ///< upward arcs scanned from settled vertices
   uint64_t nanos = 0;         ///< wall time of the whole upward phase
 };
 

@@ -72,8 +72,11 @@ static_assert(std::is_trivially_copyable_v<SweepArgs>,
 using SweepKernelFn = void (*)(const SweepArgs&, VertexId begin, VertexId end);
 
 /// Selects the widest kernel compatible with the requested mode, the CPU,
-/// and k (SSE needs k % 4 == 0, AVX2 needs k % 8 == 0). `want_parents` and
-/// `use_marks` pick the matching template instantiation.
+/// and k (SSE needs k % 4 == 0, AVX2 needs k % 8 == 0). k = 1, 4, 8, 12
+/// and 16 get an instantiation with k fixed at compile time, whose rows
+/// stay in registers across a vertex's arcs; other k run register-sized
+/// chunks of the row. `want_parents` and `use_marks` pick the matching
+/// template instantiation.
 SweepKernelFn SelectSweepKernel(SimdMode mode, uint32_t k, bool want_parents,
                                 bool use_marks);
 

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <set>
 #include <vector>
 
 #include "ch/contraction.h"
@@ -183,6 +185,122 @@ TEST(Phast, UpwardSearchSpaceTracked) {
   engine.ComputeTree(5, ws);
   EXPECT_GT(ws.UpwardSearchSpace(), 0u);
   EXPECT_LT(ws.UpwardSearchSpace(), g.NumVertices() / 2);
+}
+
+// --------------------------- upward phase ----------------------------------
+
+/// Dijkstra on G-up alone, per source: distances, the touched set (the
+/// source plus every head of an arc out of a queued vertex), and the work a
+/// queue-based search does (queued vertices, arcs scanned from them).
+struct UpwardReference {
+  std::vector<SsspResult> trees;
+  std::set<VertexId> touched;
+  uint64_t settled = 0;
+  uint64_t scanned = 0;
+};
+
+UpwardReference ReferenceUpward(const CHData& ch,
+                                const std::vector<VertexId>& sources) {
+  EdgeList up(ch.num_vertices);
+  std::vector<uint64_t> out_degree(ch.num_vertices, 0);
+  for (const CHArc& a : ch.up_arcs) {
+    up.AddArc(a.tail, a.head, a.weight);
+    ++out_degree[a.tail];
+  }
+  const Graph up_graph = Graph::FromEdgeList(up);
+  UpwardReference ref;
+  for (const VertexId s : sources) {
+    ref.trees.push_back(Dijkstra<BinaryHeap>(up_graph, s));
+    const std::vector<Weight>& dist = ref.trees.back().dist;
+    ref.touched.insert(s);
+    for (const CHArc& a : ch.up_arcs) {
+      if (dist[a.tail] != kInfWeight) ref.touched.insert(a.head);
+    }
+    for (VertexId v = 0; v < ch.num_vertices; ++v) {
+      if (dist[v] == kInfWeight) continue;
+      ++ref.settled;
+      ref.scanned += out_degree[v];
+    }
+  }
+  return ref;
+}
+
+/// Runs the engine's upward phase alone and checks it against Dijkstra on
+/// G-up: every lane's labels on the touched set, the touched set itself,
+/// and (on level-ordered engines, which can profile) the work counters.
+void ExpectUpwardMatchesDijkstra(const CHData& ch, SweepOrder order,
+                                 const std::vector<VertexId>& sources) {
+  Phast::Options options;
+  options.order = order;
+  options.collect_profile = order != SweepOrder::kRankDescending;
+  const Phast engine(ch, options);
+  const auto k = static_cast<uint32_t>(sources.size());
+  Phast::Workspace ws = engine.MakeWorkspace(k);
+  // Run twice: the second batch must not see the first one's residue.
+  for (int round = 0; round < 2; ++round) {
+    std::vector<VertexId> batch = sources;
+    if (round == 1) std::reverse(batch.begin(), batch.end());
+    const UpwardReference ref = ReferenceUpward(ch, batch);
+    engine.RunUpwardPhase(batch, ws);
+    std::set<VertexId> visited;
+    for (const VertexId label : engine.VisitedLabelVertices(ws)) {
+      visited.insert(engine.OriginalOf(label));
+    }
+    EXPECT_EQ(visited, ref.touched);
+    EXPECT_EQ(engine.VisitedLabelVertices(ws).size(), ref.touched.size())
+        << "a vertex was recorded twice";
+    for (uint32_t tree = 0; tree < k; ++tree) {
+      for (const VertexId v : ref.touched) {
+        ASSERT_EQ(engine.Distance(ws, v, tree), ref.trees[tree].dist[v])
+            << "tree " << tree << " vertex " << v;
+      }
+    }
+    if (options.collect_profile) {
+      EXPECT_EQ(ws.Profile().upward.queue_pops, ref.settled);
+      EXPECT_EQ(ws.Profile().upward.arcs_relaxed, ref.scanned);
+    }
+    engine.FinishExternalSweep(ws);
+  }
+}
+
+TEST_P(PhastModes, UpwardPhaseEqualsDijkstraOnGUp) {
+  const Graph g = CountryGraph(14);
+  const CHData ch = BuildContractionHierarchy(g);
+  Rng rng(21);
+  for (const uint32_t k : {1u, 4u, 16u}) {
+    std::vector<VertexId> sources(k);
+    for (VertexId& s : sources) {
+      s = static_cast<VertexId>(rng.NextBounded(g.NumVertices()));
+    }
+    ExpectUpwardMatchesDijkstra(ch, GetParam().order, sources);
+  }
+}
+
+TEST_P(PhastModes, UpwardPhaseEqualsDijkstraOnWitnessFreeHierarchy) {
+  const Graph g = CountryGraph(10);
+  CHParams params;
+  params.witness_pruning = false;
+  const CHData ch = BuildContractionHierarchy(g, params);
+  Rng rng(22);
+  for (const uint32_t k : {1u, 8u}) {
+    std::vector<VertexId> sources(k);
+    for (VertexId& s : sources) {
+      s = static_cast<VertexId>(rng.NextBounded(g.NumVertices()));
+    }
+    ExpectUpwardMatchesDijkstra(ch, GetParam().order, sources);
+  }
+}
+
+TEST(Phast, RejectsUpwardArcThatDoesNotClimb) {
+  // Two vertices, one level: an "upward" arc between equal levels breaks
+  // the topological order the queue-free upward search relies on.
+  CHData ch;
+  ch.num_vertices = 2;
+  ch.rank = {0, 1};
+  ch.level = {0, 0};
+  ch.up_arcs = {CHArc{0, 1, 5}};
+  ch.down_arcs = {CHArc{1, 0, 5}};
+  EXPECT_THROW({ const Phast engine(ch); }, InputError);
 }
 
 // --------------------------- parents / trees -------------------------------
