@@ -108,11 +108,14 @@ BENCHMARK(BM_DijkstraDial);
 BENCHMARK(BM_DijkstraRadix);
 BENCHMARK(BM_DijkstraSmartQueue);
 
-/// Phase one alone: the k upward searches of one batch (k = 16 is the
-/// batch_trees width).
-void BM_UpwardSearch(benchmark::State& state) {
+/// Phase one alone: the upward search of one batch of k random sources
+/// (k = 16 is the batch_trees width), under the ISA `mode` resolves to at
+/// that k.
+void BM_UpwardSearch(benchmark::State& state, SimdMode mode) {
   const uint32_t k = static_cast<uint32_t>(state.range(0));
-  const Phast engine(SharedInstance().ch);
+  Phast::Options options;
+  options.simd = mode;
+  const Phast engine(SharedInstance().ch, options);
   Phast::Workspace ws = engine.MakeWorkspace(k);
   Rng rng(9);
   std::vector<VertexId> sources(k);
@@ -125,8 +128,18 @@ void BM_UpwardSearch(benchmark::State& state) {
     benchmark::DoNotOptimize(ws.UpwardSearchSpace());
   }
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) * k);
+  state.SetLabel(engine.KernelNameFor(k));
 }
-BENCHMARK(BM_UpwardSearch)->Arg(1)->Arg(16);
+BENCHMARK_CAPTURE(BM_UpwardSearch, scalar, SimdMode::kScalar)
+    ->Arg(1)
+    ->Arg(4)
+    ->Arg(8)
+    ->Arg(16);
+BENCHMARK_CAPTURE(BM_UpwardSearch, auto, SimdMode::kAuto)
+    ->Arg(1)
+    ->Arg(4)
+    ->Arg(8)
+    ->Arg(16);
 
 // The tracing zero-overhead pair (DESIGN.md §8): with PHAST_TRACING=OFF
 // the PHAST_SPAN macro expands to nothing and BM_SpanOverhead must time

@@ -10,6 +10,7 @@
 #include <unordered_set>
 
 #include "phast/kernels.h"
+#include "util/atomic_file.h"
 #include "util/error.h"
 #include "util/rng.h"
 
@@ -104,15 +105,10 @@ KnnSweeper::KnnSweeper(const Phast& engine, const PoiIndex& index,
 
   // Deepest sweep position any bucket vertex occupies. Everything past it
   // can only influence labels at even later positions.
-  Phast::Workspace probe = engine.MakeWorkspace(1);
-  const SweepArgs args = engine.MakeSweepArgs(probe);
-  std::vector<VertexId> pos_of_label(n);
-  for (VertexId pos = 0; pos < n; ++pos) {
-    pos_of_label[args.order != nullptr ? args.order[pos] : pos] = pos;
-  }
   VertexId max_pos = 0;
   for (const VertexId v : bucket_) {
-    max_pos = std::max(max_pos, pos_of_label[engine.LabelIndexOf(v)]);
+    max_pos =
+        std::max(max_pos, engine.SweepPositionOf(engine.LabelIndexOf(v)));
   }
   cutoff_ = max_pos + 1;
   // Snap up to the enclosing level-group boundary (GPU-friendly granularity
@@ -156,7 +152,8 @@ void WritePoiFile(const std::string& path, const PoiIndex& index) {
   std::vector<uint8_t> payload;
   payload.reserve(sizeof(kPoiMagic) + 16 + index.first_.size() * 4 +
                   index.vertices_.size() * 4);
-  payload.insert(payload.end(), kPoiMagic, kPoiMagic + sizeof(kPoiMagic));
+  payload.resize(sizeof(kPoiMagic));
+  std::memcpy(payload.data(), kPoiMagic, sizeof(kPoiMagic));
   AppendValue<uint32_t>(payload, index.num_vertices_);
   AppendValue<uint32_t>(payload, index.NumCategories());
   AppendValue<uint64_t>(payload, index.vertices_.size());
@@ -165,11 +162,10 @@ void WritePoiFile(const std::string& path, const PoiIndex& index) {
   const uint64_t checksum = Fnv1a(payload.data(), payload.size());
   AppendValue<uint64_t>(payload, checksum);
 
-  std::ofstream out(path, std::ios::binary);
-  Require(out.good(), "cannot open file for writing: " + path);
-  out.write(reinterpret_cast<const char*>(payload.data()),
-            static_cast<std::streamsize>(payload.size()));
-  Require(out.good(), "error while writing: " + path);
+  WriteFileAtomically(path, [&payload](std::ostream& out) {
+    out.write(reinterpret_cast<const char*>(payload.data()),
+              static_cast<std::streamsize>(payload.size()));
+  });
 }
 
 PoiIndex ReadPoiFile(const std::string& path) {

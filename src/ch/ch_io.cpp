@@ -6,6 +6,7 @@
 #include <ostream>
 #include <vector>
 
+#include "util/atomic_file.h"
 #include "util/error.h"
 
 namespace phast {
@@ -57,10 +58,7 @@ void WriteCH(const CHData& ch, std::ostream& out) {
 }
 
 void WriteCHFile(const CHData& ch, const std::string& path) {
-  std::ofstream out(path, std::ios::binary);
-  Require(out.good(), "cannot open file for writing: " + path);
-  WriteCH(ch, out);
-  Require(out.good(), "error while writing: " + path);
+  WriteFileAtomically(path, [&ch](std::ostream& out) { WriteCH(ch, out); });
 }
 
 CHData ReadCH(std::istream& in) {

@@ -19,12 +19,7 @@ uint64_t Gphast::DeviceMemoryBytes(uint32_t k) const {
   const uint64_t n = engine_.NumVertices();
   // Topology: first array + (tail, weight) arc records; labels k-strided;
   // one visit bit per vertex. Matches what ComputeTrees actually touches.
-  uint64_t arcs = 0;
-  // The engine does not expose the arc count directly; derive it from the
-  // sweep view of a throwaway workspace.
-  Phast::Workspace probe = engine_.MakeWorkspace(1);
-  const SweepArgs args = engine_.MakeSweepArgs(probe);
-  arcs = args.down_first[n];
+  const uint64_t arcs = engine_.SweepTopology().down_first[n];
   return (n + 1) * sizeof(ArcId) + arcs * sizeof(DownArc) +
          n * static_cast<uint64_t>(k) * sizeof(Weight) + (n + 7) / 8;
 }

@@ -1,8 +1,11 @@
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
+#include <span>
 #include <type_traits>
 
+#include "graph/csr.h"
 #include "graph/types.h"
 #include "phast/options.h"
 #include "util/aligned.h"
@@ -71,6 +74,54 @@ static_assert(std::is_trivially_copyable_v<SweepArgs>,
 /// Pointer to a kernel that sweeps positions [begin, end).
 using SweepKernelFn = void (*)(const SweepArgs&, VertexId begin, VertexId end);
 
+/// Everything the batched upward search (phase one) needs, in the same
+/// raw-pointer form as SweepArgs. The search keys its frontier by sweep
+/// position, so it carries both directions of the position mapping.
+struct UpwardArgs {
+  const ArcId* up_first = nullptr;  // n+1, label space
+  const Arc* up_arcs = nullptr;     // heads in label space
+  const VertexId* perm = nullptr;   // original id -> label space
+  /// Sweep position -> label-space id and its inverse; both nullptr when
+  /// they coincide (the reordered layout).
+  const VertexId* order = nullptr;
+  const VertexId* position_of = nullptr;
+  uint32_t k = 1;  // trees per batch
+
+  Weight* labels = nullptr;     // k-strided, as SweepArgs::labels
+  VertexId* parents = nullptr;  // nullptr if not requested
+  /// Visit marks and the list of marked vertices (implicit init only,
+  /// nullptr otherwise). `visited` has room for every vertex plus one: a
+  /// head is appended with an unconditional store and a conditional count.
+  uint64_t* marks = nullptr;
+  VertexId* visited = nullptr;
+  /// Frontier: bit p of `reached` = sweep position p reached and not yet
+  /// settled; bit w of `reached_words` = word w of `reached` may be
+  /// non-zero. Both are all-zero on entry and on return.
+  uint64_t* reached = nullptr;
+  uint64_t* reached_words = nullptr;
+  /// Fill UpwardResult's work counters (profiling only).
+  bool count_work = false;
+};
+
+/// What one batched upward search did.
+struct UpwardResult {
+  size_t num_visited = 0;  // vertices appended to UpwardArgs::visited
+  /// Work of k separate queue-based searches: (vertex, tree) pairs settled
+  /// with a finite label, and G↑ arcs scanned from them. Zero unless
+  /// UpwardArgs::count_work.
+  uint64_t settled = 0;
+  uint64_t arcs_scanned = 0;
+};
+
+static_assert(std::is_trivially_copyable_v<UpwardArgs>,
+              "UpwardArgs must remain trivially copyable");
+
+/// Upward search of a batch: tree i starts at sources[i] (original ids,
+/// sources.size() == k). Labels must be +infinity on every vertex the
+/// search reaches (implicit init: unmarked; explicit init: filled).
+using UpwardKernelFn = UpwardResult (*)(const UpwardArgs&,
+                                        std::span<const VertexId> sources);
+
 /// Selects the widest kernel compatible with the requested mode, the CPU,
 /// and k (SSE needs k % 4 == 0, AVX2 needs k % 8 == 0). k = 1, 4, 8, 12
 /// and 16 get an instantiation with k fixed at compile time, whose rows
@@ -79,6 +130,12 @@ using SweepKernelFn = void (*)(const SweepArgs&, VertexId begin, VertexId end);
 /// template instantiation.
 SweepKernelFn SelectSweepKernel(SimdMode mode, uint32_t k, bool want_parents,
                                 bool use_marks);
+
+/// The upward-search kernel for the same (mode, k, want_parents, use_marks):
+/// one search over the union of the k search spaces, relaxing each G↑ arc
+/// for all k trees at once with the sweep's ISA.
+UpwardKernelFn SelectUpwardKernel(SimdMode mode, uint32_t k,
+                                  bool want_parents, bool use_marks);
 
 /// Name of the kernel that SelectSweepKernel would return ("scalar", "sse",
 /// "avx2") — benchmarks report it.

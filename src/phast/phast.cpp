@@ -51,6 +51,7 @@ Phast::Workspace::Workspace(VertexId n, uint32_t k, bool want_parents,
   }
   if (implicit_init_) {
     marks_.Resize(n);
+    visited_.assign(static_cast<size_t>(n) + 1, 0);
   }
 }
 
@@ -196,9 +197,9 @@ void Phast::BuildPositionIndex() {
 
 void Phast::RequireUpwardArcsClimb() const {
   for (VertexId v = 0; v < n_; ++v) {
-    const VertexId from = PositionOf(v);
+    const VertexId from = SweepPositionOf(v);
     for (ArcId i = up_first_[v]; i < up_first_[v + 1]; ++i) {
-      Require(PositionOf(up_arcs_[i].other) < from,
+      Require(SweepPositionOf(up_arcs_[i].other) < from,
               "PHAST layout upward arc must end at a strictly earlier sweep "
               "position (a higher CH level or rank)");
     }
@@ -327,12 +328,17 @@ Phast::Workspace Phast::MakeWorkspace(uint32_t num_trees,
                    options_.collect_profile);
 }
 
-SweepArgs Phast::MakeSweepArgs(Workspace& ws) const {
+SweepArgs Phast::SweepTopology() const {
   SweepArgs args;
   args.down_first = down_first_.data();
   args.down_arcs = down_arcs_.data();
   args.order = order_.empty() ? nullptr : order_.data();
   args.num_vertices = n_;
+  return args;
+}
+
+SweepArgs Phast::MakeSweepArgs(Workspace& ws) const {
+  SweepArgs args = SweepTopology();
   args.k = ws.k_;
   args.labels = ws.labels_.data();
   args.marks = ws.implicit_init_ ? ws.marks_.Words() : nullptr;
@@ -357,17 +363,26 @@ void Phast::PrepareBatch(std::span<const VertexId> sources,
     ws.profile_ = obs::SweepProfile{};
     ws.profile_.k = ws.k_;
   }
-  ws.visited_.clear();
-  // One instantiation per workspace mode: with the mode fixed at compile
-  // time the search runs about a quarter faster at k = 16.
-  const auto search =
-      ws.implicit_init_
-          ? (ws.want_parents_ ? &Phast::UpwardSearch<true, true>
-                              : &Phast::UpwardSearch<true, false>)
-          : (ws.want_parents_ ? &Phast::UpwardSearch<false, true>
-                              : &Phast::UpwardSearch<false, false>);
-  for (uint32_t i = 0; i < ws.k_; ++i) {
-    (this->*search)(perm_[sources[i]], i, ws);
+  UpwardArgs args;
+  args.up_first = up_first_.data();
+  args.up_arcs = up_arcs_.data();
+  args.perm = perm_.data();
+  args.order = order_.empty() ? nullptr : order_.data();
+  args.position_of = position_of_.empty() ? nullptr : position_of_.data();
+  args.k = ws.k_;
+  args.labels = ws.labels_.data();
+  args.parents = ws.want_parents_ ? ws.parents_.data() : nullptr;
+  args.marks = ws.implicit_init_ ? ws.marks_.Words() : nullptr;
+  args.visited = ws.implicit_init_ ? ws.visited_.data() : nullptr;
+  args.reached = ws.reached_.data();
+  args.reached_words = ws.reached_words_.data();
+  args.count_work = ws.collect_profile_;
+  const UpwardResult result = SelectUpwardKernel(
+      options_.simd, ws.k_, ws.want_parents_, ws.implicit_init_)(args, sources);
+  ws.num_visited_ = result.num_visited;
+  if (ws.collect_profile_) {
+    ws.profile_.upward.queue_pops = result.settled;
+    ws.profile_.upward.arcs_relaxed = result.arcs_scanned;
   }
 }
 
@@ -377,94 +392,7 @@ void Phast::FinishBatch(Workspace& ws) const {
   // sweep kernels read-only on the mark words, which lets the per-level
   // parallel sweep share them without atomics.
   if (ws.implicit_init_) {
-    for (const VertexId v : ws.visited_) ws.marks_.Clear(v);
-  }
-}
-
-template <bool kImplicitInit, bool kParents>
-void Phast::UpwardSearch(VertexId source_label, uint32_t tree,
-                         Workspace& ws) const {
-  const uint32_t k = ws.k_;
-  Weight* const labels = ws.labels_.data();
-  VertexId* const parents = ws.parents_.data();
-  const auto touch = [&](VertexId v) {
-    if constexpr (kImplicitInit) {
-      if (ws.marks_.Get(v)) return;
-      ws.marks_.Set(v);
-      ws.visited_.push_back(v);
-      std::fill_n(labels + static_cast<size_t>(v) * k, k, kInfWeight);
-      if constexpr (kParents) {
-        std::fill_n(parents + static_cast<size_t>(v) * k, k, kInvalidVertex);
-      }
-    }
-  };
-  uint64_t* const words = ws.reached_.data();
-  uint64_t* const word_bits = ws.reached_words_.data();
-  const auto reach = [words, word_bits](VertexId pos, bool yes) {
-    words[pos >> 6] |= uint64_t{yes} << (pos & 63);
-    word_bits[pos >> 12] |= uint64_t{yes} << ((pos >> 6) & 63);
-  };
-  const VertexId* const order = order_.empty() ? nullptr : order_.data();
-  const VertexId* const position_of =
-      position_of_.empty() ? nullptr : position_of_.data();
-  const ArcId* const up_first = up_first_.data();
-  const Arc* const up_arcs = up_arcs_.data();
-
-  touch(source_label);
-  labels[static_cast<size_t>(source_label) * k + tree] = 0;
-  if constexpr (kParents) {
-    parents[static_cast<size_t>(source_label) * k + tree] = kInvalidVertex;
-  }
-  const VertexId source_pos = PositionOf(source_label);
-  reach(source_pos, true);
-
-  // Every G↑ arc ends at a strictly earlier sweep position (CH levels and
-  // ranks climb along upward arcs), so descending sweep position is a
-  // topological order of G↑: settling reached positions from the highest
-  // down finalizes each label after all of its reached in-neighbours —
-  // Dijkstra's labels on this DAG with no queue. A position is reached
-  // exactly when Dijkstra would have queued it (a strict label decrease).
-  uint64_t settled = 0;
-  uint64_t scanned = 0;
-  for (size_t w = source_pos >> 6;;) {
-    if (const uint64_t bits = words[w]; bits != 0) {
-      const auto bit = static_cast<unsigned>(63 - __builtin_clzll(bits));
-      words[w] = bits & ~(uint64_t{1} << bit);
-      const auto pos = static_cast<VertexId>(w * 64 + bit);
-      const VertexId v = order != nullptr ? order[pos] : pos;
-      const Weight dv = labels[static_cast<size_t>(v) * k + tree];
-      const ArcId end = up_first[v + 1];
-      ++settled;
-      scanned += end - up_first[v];
-      for (ArcId i = up_first[v]; i < end; ++i) {
-        const Arc arc = up_arcs[i];
-        const Weight candidate = SaturatingAdd(dv, arc.weight);
-        touch(arc.other);
-        // Branchless: whether an arc improves its head depends on the data
-        // and predicts poorly.
-        const size_t slot = static_cast<size_t>(arc.other) * k + tree;
-        const bool improved = candidate < labels[slot];
-        labels[slot] = improved ? candidate : labels[slot];
-        if constexpr (kParents) {
-          if (improved) parents[slot] = v;
-        }
-        reach(position_of != nullptr ? position_of[arc.other] : arc.other,
-              improved);
-      }
-      continue;
-    }
-    // Word w is drained: drop it (and the already-drained words above it)
-    // from its summary word, then move to the highest live word below.
-    size_t sw = w >> 6;
-    uint64_t below = word_bits[sw] & ((uint64_t{1} << (w & 63)) - 1);
-    word_bits[sw] = below;
-    while (below == 0 && sw > 0) below = word_bits[--sw];
-    if (below == 0) break;
-    w = sw * 64 + static_cast<size_t>(63 - __builtin_clzll(below));
-  }
-  if (ws.collect_profile_) {
-    ws.profile_.upward.queue_pops += settled;
-    ws.profile_.upward.arcs_relaxed += scanned;
+    for (const VertexId v : VisitedLabelVertices(ws)) ws.marks_.Clear(v);
   }
 }
 

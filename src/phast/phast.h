@@ -83,16 +83,16 @@ class Phast {
 
   /// Per-query state: k distance labels per vertex (laid out k-strided as
   /// in §IV-B), visit marks for implicit initialization, optional parent
-  /// pointers, and the upward-search scratch.
+  /// pointers, and the upward-search frontier.
   class Workspace {
    public:
     [[nodiscard]] uint32_t NumTrees() const { return k_; }
     [[nodiscard]] bool WantsParents() const { return want_parents_; }
 
-    /// Label-space vertices touched by the latest batch's upward searches
-    /// (the union over the k sources). The paper quotes ~500 per source on
-    /// Europe (§II-B).
-    [[nodiscard]] size_t UpwardSearchSpace() const { return visited_.size(); }
+    /// Label-space vertices touched by the latest batch's upward search
+    /// (the union over the k sources; implicit-init engines only). The
+    /// paper quotes ~500 per source on Europe (§II-B).
+    [[nodiscard]] size_t UpwardSearchSpace() const { return num_visited_; }
 
     /// Per-level profile of the latest batch; populated only when the
     /// engine was built with Options::collect_profile (empty otherwise).
@@ -116,7 +116,10 @@ class Phast {
     AlignedVector<Weight> labels_;    // n*k, k-strided
     std::vector<VertexId> parents_;   // n*k or empty
     BitVector marks_;                 // visit marks (implicit init only)
-    std::vector<VertexId> visited_;   // marked vertices of current batch
+    /// Marked vertices of the current batch in [0, num_visited_); sized
+    /// n + 1 (implicit init only) so the search appends without a branch.
+    std::vector<VertexId> visited_;
+    size_t num_visited_ = 0;
     /// Upward-search frontier: bit p set = sweep position p reached and not
     /// yet settled. All-zero between searches (each search drains it).
     std::vector<uint64_t> reached_;
@@ -191,8 +194,8 @@ class Phast {
                             Workspace& ws) const;
 
   /// Phase one only, for external sweep executors (the GPU simulator):
-  /// runs the k upward searches into the workspace and leaves the sweep to
-  /// the caller (via MakeSweepArgs).
+  /// runs the batch's upward search into the workspace and leaves the sweep
+  /// to the caller (via MakeSweepArgs).
   void RunUpwardPhase(std::span<const VertexId> sources, Workspace& ws) const {
     PrepareBatch(sources, ws);
   }
@@ -237,9 +240,20 @@ class Phast {
     return SweepKernelName(options_.simd, k);
   }
 
-  /// Raw sweep topology (for the GPU simulator and the lower-bound
-  /// benchmark). Pointers remain valid for the engine's lifetime.
+  /// Raw sweep topology with no workspace bound: labels, marks and parents
+  /// are null and k is 1 (for RPHAST, the POI cutoff and the GPU
+  /// simulator). Pointers remain valid for the engine's lifetime.
+  [[nodiscard]] SweepArgs SweepTopology() const;
+
+  /// SweepTopology() bound to a workspace's labels, marks and parents (for
+  /// external sweep executors and the lower-bound benchmark).
   [[nodiscard]] SweepArgs MakeSweepArgs(Workspace& ws) const;
+
+  /// Sweep position of a label-space vertex: the inverse of
+  /// SweepArgs::order (the identity for the reordered layout).
+  [[nodiscard]] VertexId SweepPositionOf(VertexId label) const {
+    return position_of_.empty() ? label : position_of_[label];
+  }
 
   /// Raw per-label views in label space (for applications that post-process
   /// whole trees without per-vertex accessor overhead).
@@ -247,12 +261,12 @@ class Phast {
     return ws.labels_;
   }
 
-  /// Label-space vertices touched by the current batch's upward searches
+  /// Label-space vertices touched by the current batch's upward search
   /// (valid between RunUpwardPhase and FinishExternalSweep; RPHAST gathers
   /// upward labels from it).
   [[nodiscard]] std::span<const VertexId> VisitedLabelVertices(
       const Workspace& ws) const {
-    return ws.visited_;
+    return {ws.visited_.data(), ws.num_visited_};
   }
   [[nodiscard]] std::span<const VertexId> RawParents(
       const Workspace& ws) const {
@@ -262,8 +276,6 @@ class Phast {
  private:
   void PrepareBatch(std::span<const VertexId> sources, Workspace& ws) const;
   void FinishBatch(Workspace& ws) const;
-  template <bool kImplicitInit, bool kParents>
-  void UpwardSearch(VertexId source_label, uint32_t tree, Workspace& ws) const;
   /// Sweep run level group by level group with a per-level timer, filling
   /// ws.profile_ (the Options::collect_profile path).
   void ProfiledSweep(SweepKernelFn kernel, Workspace& ws) const;
@@ -280,11 +292,8 @@ class Phast {
   /// Fills position_of_ from order_ (nothing to do for reordered engines).
   void BuildPositionIndex();
   /// Throws unless every G↑ arc ends at a strictly earlier sweep position —
-  /// the topological order UpwardSearch depends on.
+  /// the topological order the upward search depends on.
   void RequireUpwardArcsClimb() const;
-  [[nodiscard]] VertexId PositionOf(VertexId label) const {
-    return position_of_.empty() ? label : position_of_[label];
-  }
   /// Original id -> sweep position: perm_ itself for the reordered layout,
   /// otherwise position_of_ (label space is the identity there).
   [[nodiscard]] std::span<const VertexId> PositionByOriginalId() const {

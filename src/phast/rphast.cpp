@@ -23,15 +23,10 @@ RPhast::RPhast(const Phast& engine, std::span<const VertexId> targets)
           "RPHAST requires implicit initialization (visited tracking)");
   const VertexId n = engine.NumVertices();
 
-  // Grab the engine's sweep topology (pointers outlive the workspace).
-  Phast::Workspace probe = engine.MakeWorkspace(1);
-  const SweepArgs args = engine.MakeSweepArgs(probe);
-
+  const SweepArgs args = engine.SweepTopology();
   const auto label_of_pos = [&args](VertexId pos) {
     return args.order != nullptr ? args.order[pos] : pos;
   };
-  std::vector<VertexId> pos_of_label(n);
-  for (VertexId pos = 0; pos < n; ++pos) pos_of_label[label_of_pos(pos)] = pos;
 
   // Relevance pass: a vertex is relevant iff it is a target or has a
   // downward arc into a relevant vertex. Arc tails sit at strictly smaller
@@ -39,32 +34,28 @@ RPhast::RPhast(const Phast& engine, std::span<const VertexId> targets)
   BitVector relevant(n);
   for (const VertexId t : targets) {
     Require(t < n, "RPHAST target out of range");
-    relevant.Set(pos_of_label[engine.LabelIndexOf(t)]);
+    relevant.Set(engine.SweepPositionOf(engine.LabelIndexOf(t)));
   }
   for (VertexId pos = n; pos-- > 0;) {
     if (!relevant.Get(pos)) continue;
     const ArcId end = args.down_first[pos + 1];
     for (ArcId a = args.down_first[pos]; a < end; ++a) {
-      relevant.Set(pos_of_label[args.down_arcs[a].tail]);
+      relevant.Set(engine.SweepPositionOf(args.down_arcs[a].tail));
     }
   }
 
   // Compact the restricted subgraph in ascending sweep order. Tails always
   // precede heads, so their restricted positions are already assigned.
   position_of_.assign(n, kNotRestricted);
-  std::vector<uint32_t> restricted_of_pos(n, kNotRestricted);
   first_.push_back(0);
   for (VertexId pos = 0; pos < n; ++pos) {
     if (!relevant.Get(pos)) continue;
-    const uint32_t slot = static_cast<uint32_t>(order_.size());
-    restricted_of_pos[pos] = slot;
     order_.push_back(label_of_pos(pos));
-    position_of_[label_of_pos(pos)] = slot;
+    position_of_[label_of_pos(pos)] = static_cast<uint32_t>(order_.size() - 1);
     const ArcId end = args.down_first[pos + 1];
     for (ArcId a = args.down_first[pos]; a < end; ++a) {
-      const uint32_t tail_slot =
-          restricted_of_pos[pos_of_label[args.down_arcs[a].tail]];
-      arcs_.push_back(RestrictedArc{tail_slot, args.down_arcs[a].weight});
+      arcs_.push_back(RestrictedArc{position_of_[args.down_arcs[a].tail],
+                                    args.down_arcs[a].weight});
     }
     first_.push_back(static_cast<ArcId>(arcs_.size()));
   }

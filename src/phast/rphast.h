@@ -45,7 +45,7 @@ class RPhast {
   }
 
   /// Per-batch state for k-wide restricted sweeps: a k-tree full workspace
-  /// for the upward searches plus k-strided restricted labels
+  /// for the batched upward search plus k-strided restricted labels
   /// (labels[slot * k + tree], same stride convention as the full engine).
   class BatchWorkspace {
    public:

@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "ch/ch_io.h"
+#include "util/atomic_file.h"
 #include "util/error.h"
 
 namespace phast::server {
@@ -415,10 +416,9 @@ void WriteSnapshot(const Snapshot& snapshot, std::ostream& out,
 
 void WriteSnapshotFile(const Snapshot& snapshot, const std::string& path,
                        SnapshotFormat format) {
-  std::ofstream out(path, std::ios::binary);
-  Require(out.good(), "cannot open file for writing: " + path);
-  WriteSnapshot(snapshot, out, format);
-  Require(out.good(), "error while writing: " + path);
+  WriteFileAtomically(path, [&](std::ostream& out) {
+    WriteSnapshot(snapshot, out, format);
+  });
 }
 
 Snapshot ReadSnapshot(std::istream& in) {

@@ -50,6 +50,7 @@ class BitVector {
 
   /// Raw word access for kernels that test bits directly.
   [[nodiscard]] const uint64_t* Words() const { return words_.data(); }
+  [[nodiscard]] uint64_t* Words() { return words_.data(); }
   [[nodiscard]] size_t NumWords() const { return words_.size(); }
 
   [[nodiscard]] bool AnySet() const {

@@ -268,6 +268,49 @@ TEST(Mapping, CheckingModesReportVerifiedPayloadBytes) {
   EXPECT_GT(payload_total, 0u);
 }
 
+// --- atomic publish ---------------------------------------------------------
+
+/// Distances of a few trees, concatenated (a fingerprint of what an engine
+/// answers).
+std::vector<Weight> TreeFingerprint(const Phast& engine) {
+  Phast::Workspace ws = engine.MakeWorkspace();
+  std::vector<Weight> out;
+  for (const VertexId source : {VertexId{0}, VertexId{7}, VertexId{42}}) {
+    engine.ComputeTree(source, ws);
+    for (VertexId v = 0; v < engine.NumVertices(); ++v) {
+      out.push_back(engine.Distance(ws, v));
+    }
+  }
+  return out;
+}
+
+// Re-running the prepare step onto a path that replicas have mapped: the
+// writer publishes a new file instead of truncating the mapped one, so the
+// old mapping keeps serving its own bytes (in place, a shorter file would
+// raise SIGBUS and a longer one would change its answers) and the next open
+// sees the new snapshot.
+TEST(Mapping, RewritingAMappedSnapshotLeavesTheMappingIntact) {
+  const std::string path = ::testing::TempDir() + "phast_fabric_rewrite_" +
+                           std::to_string(::getpid()) + ".snap";
+  server::WriteSnapshotFile(server::MakeSnapshot(Engine(), &CachedCountry(kSide)),
+                            path, server::SnapshotFormat::kPhsnap02);
+  const MappedSnapshot old_mapping(path, VerifyMode::kSections);
+  const Phast old_engine(old_mapping.LayoutView(), old_mapping.Validation());
+  const std::vector<Weight> before = TreeFingerprint(old_engine);
+
+  const Phast other(CachedCountryCH(kSide / 2, 3));
+  server::WriteSnapshotFile(server::MakeSnapshot(other, &CachedCountry(kSide / 2, 3)),
+                            path, server::SnapshotFormat::kPhsnap02);
+
+  EXPECT_EQ(TreeFingerprint(old_engine), before);
+  const MappedSnapshot new_mapping(path, VerifyMode::kFull);
+  const Phast new_engine(new_mapping.LayoutView(), new_mapping.Validation());
+  EXPECT_EQ(new_engine.NumVertices(), other.NumVertices());
+  EXPECT_EQ(TreeFingerprint(new_engine), TreeFingerprint(other));
+  EXPECT_NE(TreeFingerprint(new_engine), before);
+  std::remove(path.c_str());
+}
+
 // --- consistent-hash ring ---------------------------------------------------
 
 TEST(HashRing, PickIsDeterministicAndInRange) {

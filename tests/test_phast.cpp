@@ -1,7 +1,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <map>
 #include <set>
+#include <span>
+#include <utility>
 #include <vector>
 
 #include "ch/contraction.h"
@@ -225,35 +228,91 @@ UpwardReference ReferenceUpward(const CHData& ch,
   return ref;
 }
 
+/// Every finite non-source lane of the upward phase names a parent u with
+/// a G-up arc u -> v that is tight: label(u) + w == label(v). Source lanes
+/// have no parent.
+void ExpectUpwardParentsTight(const CHData& ch, const Phast& engine,
+                              const Phast::Workspace& ws,
+                              const std::vector<VertexId>& sources) {
+  std::map<std::pair<VertexId, VertexId>, std::vector<Weight>> up_weights;
+  for (const CHArc& a : ch.up_arcs) {
+    up_weights[{a.tail, a.head}].push_back(a.weight);
+  }
+  const uint32_t k = ws.NumTrees();
+  const std::span<const Weight> labels = engine.RawLabels(ws);
+  const std::span<const VertexId> parents = engine.RawParents(ws);
+  for (const VertexId v : engine.VisitedLabelVertices(ws)) {
+    for (uint32_t tree = 0; tree < k; ++tree) {
+      const size_t slot = static_cast<size_t>(v) * k + tree;
+      if (labels[slot] == kInfWeight) continue;
+      const VertexId u = parents[slot];
+      if (engine.OriginalOf(v) == sources[tree]) {
+        EXPECT_EQ(u, kInvalidVertex) << "source of tree " << tree;
+        continue;
+      }
+      ASSERT_LT(u, engine.NumVertices()) << "tree " << tree << " label " << v;
+      const auto it =
+          up_weights.find({engine.OriginalOf(u), engine.OriginalOf(v)});
+      ASSERT_NE(it, up_weights.end()) << "parent is not a G-up in-neighbour";
+      const Weight du = labels[static_cast<size_t>(u) * k + tree];
+      EXPECT_TRUE(std::any_of(it->second.begin(), it->second.end(),
+                              [&](Weight w) {
+                                return SaturatingAdd(du, w) == labels[slot];
+                              }))
+          << "parent arc is not tight, tree " << tree << " label " << v;
+    }
+  }
+}
+
 /// Runs the engine's upward phase alone and checks it against Dijkstra on
 /// G-up: every lane's labels on the touched set, the touched set itself,
 /// and (on level-ordered engines, which can profile) the work counters.
+/// An explicit-init engine records no touched set; there every label is
+/// checked instead. With `want_parents`, the parents must be tight G-up
+/// arcs.
 void ExpectUpwardMatchesDijkstra(const CHData& ch, SweepOrder order,
-                                 const std::vector<VertexId>& sources) {
+                                 const std::vector<VertexId>& sources,
+                                 bool implicit_init = true,
+                                 bool want_parents = false) {
   Phast::Options options;
   options.order = order;
+  options.implicit_init = implicit_init;
   options.collect_profile = order != SweepOrder::kRankDescending;
   const Phast engine(ch, options);
   const auto k = static_cast<uint32_t>(sources.size());
-  Phast::Workspace ws = engine.MakeWorkspace(k);
+  Phast::Workspace ws = engine.MakeWorkspace(k, want_parents);
   // Run twice: the second batch must not see the first one's residue.
   for (int round = 0; round < 2; ++round) {
     std::vector<VertexId> batch = sources;
     if (round == 1) std::reverse(batch.begin(), batch.end());
     const UpwardReference ref = ReferenceUpward(ch, batch);
     engine.RunUpwardPhase(batch, ws);
-    std::set<VertexId> visited;
-    for (const VertexId label : engine.VisitedLabelVertices(ws)) {
-      visited.insert(engine.OriginalOf(label));
-    }
-    EXPECT_EQ(visited, ref.touched);
-    EXPECT_EQ(engine.VisitedLabelVertices(ws).size(), ref.touched.size())
-        << "a vertex was recorded twice";
-    for (uint32_t tree = 0; tree < k; ++tree) {
-      for (const VertexId v : ref.touched) {
-        ASSERT_EQ(engine.Distance(ws, v, tree), ref.trees[tree].dist[v])
-            << "tree " << tree << " vertex " << v;
+    if (implicit_init) {
+      std::set<VertexId> visited;
+      for (const VertexId label : engine.VisitedLabelVertices(ws)) {
+        visited.insert(engine.OriginalOf(label));
       }
+      EXPECT_EQ(visited, ref.touched);
+      EXPECT_EQ(engine.VisitedLabelVertices(ws).size(), ref.touched.size())
+          << "a vertex was recorded twice";
+    } else {
+      EXPECT_TRUE(engine.VisitedLabelVertices(ws).empty());
+    }
+    for (uint32_t tree = 0; tree < k; ++tree) {
+      if (implicit_init) {
+        for (const VertexId v : ref.touched) {
+          ASSERT_EQ(engine.Distance(ws, v, tree), ref.trees[tree].dist[v])
+              << "tree " << tree << " vertex " << v;
+        }
+      } else {
+        for (VertexId v = 0; v < ch.num_vertices; ++v) {
+          ASSERT_EQ(engine.Distance(ws, v, tree), ref.trees[tree].dist[v])
+              << "tree " << tree << " vertex " << v;
+        }
+      }
+    }
+    if (want_parents && implicit_init) {
+      ExpectUpwardParentsTight(ch, engine, ws, batch);
     }
     if (options.collect_profile) {
       EXPECT_EQ(ws.Profile().upward.queue_pops, ref.settled);
@@ -288,6 +347,123 @@ TEST_P(PhastModes, UpwardPhaseEqualsDijkstraOnWitnessFreeHierarchy) {
       s = static_cast<VertexId>(rng.NextBounded(g.NumVertices()));
     }
     ExpectUpwardMatchesDijkstra(ch, GetParam().order, sources);
+  }
+}
+
+// The batched search's dispatch: k = 5 runs scalar chunks, k = 12 the
+// fixed-width SSE kernel and k = 24 AVX2 chunks (where the CPU has them).
+TEST_P(PhastModes, UpwardPhaseEqualsDijkstraAtEveryKernelWidth) {
+  const Graph g = CountryGraph(14);
+  const CHData ch = BuildContractionHierarchy(g);
+  Rng rng(23);
+  for (const uint32_t k : {5u, 12u, 24u}) {
+    std::vector<VertexId> sources(k);
+    for (VertexId& s : sources) {
+      s = static_cast<VertexId>(rng.NextBounded(g.NumVertices()));
+    }
+    ExpectUpwardMatchesDijkstra(ch, GetParam().order, sources);
+  }
+}
+
+/// `count` vertices of `source`'s upward search space, spread from its
+/// nearest to its farthest: each lies on an upward path from `source`.
+std::vector<VertexId> UpwardPathVertices(const CHData& ch, VertexId source,
+                                         size_t count) {
+  const UpwardReference ref = ReferenceUpward(ch, {source});
+  std::vector<std::pair<Weight, VertexId>> reached;
+  for (VertexId v = 0; v < ch.num_vertices; ++v) {
+    const Weight d = ref.trees[0].dist[v];
+    if (d != kInfWeight && v != source) reached.emplace_back(d, v);
+  }
+  std::sort(reached.begin(), reached.end());
+  std::vector<VertexId> picked;
+  for (size_t i = 0; i < count && !reached.empty(); ++i) {
+    picked.push_back(reached[i * (reached.size() - 1) / (count - 1)].second);
+  }
+  return picked;
+}
+
+TEST_P(PhastModes, UpwardPhaseHandlesRepeatedAndNestedSources) {
+  const Graph g = CountryGraph(14);
+  const CHData ch = BuildContractionHierarchy(g);
+  // Repeats, as ComputeManyTrees pads its last batch with.
+  ExpectUpwardMatchesDijkstra(ch, GetParam().order, {3, 40, 3, 3, 77, 40, 9, 9});
+  // Sources on each other's upward paths: every later source is reached by
+  // the first one's search (and the round-two batch runs them reversed).
+  std::vector<VertexId> nested{11};
+  for (const VertexId v : UpwardPathVertices(ch, 11, 7)) nested.push_back(v);
+  ASSERT_EQ(nested.size(), 8u);
+  ExpectUpwardMatchesDijkstra(ch, GetParam().order, nested);
+}
+
+TEST_P(PhastModes, UpwardPhaseEqualsDijkstraWithExplicitInit) {
+  const Graph g = CountryGraph(14);
+  const CHData ch = BuildContractionHierarchy(g);
+  Rng rng(24);
+  for (const uint32_t k : {1u, 5u, 16u}) {
+    std::vector<VertexId> sources(k);
+    for (VertexId& s : sources) {
+      s = static_cast<VertexId>(rng.NextBounded(g.NumVertices()));
+    }
+    ExpectUpwardMatchesDijkstra(ch, GetParam().order, sources,
+                                /*implicit_init=*/false);
+  }
+}
+
+TEST_P(PhastModes, UpwardPhaseParentsAreTightUpArcs) {
+  const Graph g = CountryGraph(14);
+  const CHData ch = BuildContractionHierarchy(g);
+  Rng rng(25);
+  for (const uint32_t k : {1u, 5u, 8u, 16u}) {
+    std::vector<VertexId> sources(k);
+    for (VertexId& s : sources) {
+      s = static_cast<VertexId>(rng.NextBounded(g.NumVertices()));
+    }
+    ExpectUpwardMatchesDijkstra(ch, GetParam().order, sources,
+                                /*implicit_init=*/true, /*want_parents=*/true);
+  }
+}
+
+// The scalar kernels and the widest SIMD kernels compute the same bits:
+// labels and parents after the upward phase, and again after full trees.
+TEST(Phast, ScalarAndSimdKernelsAgreeBitForBit) {
+  const Graph g = CountryGraph(14);
+  const CHData ch = BuildContractionHierarchy(g);
+  Phast::Options scalar_options;
+  scalar_options.simd = SimdMode::kScalar;
+  const Phast scalar_engine(ch, scalar_options);
+  const Phast simd_engine(ch);
+  Rng rng(26);
+  for (const uint32_t k : {4u, 8u, 12u, 16u, 24u}) {
+    Phast::Workspace scalar_ws = scalar_engine.MakeWorkspace(k, true);
+    Phast::Workspace simd_ws = simd_engine.MakeWorkspace(k, true);
+    for (int round = 0; round < 3; ++round) {
+      std::vector<VertexId> sources(k);
+      for (VertexId& s : sources) {
+        s = static_cast<VertexId>(rng.NextBounded(g.NumVertices()));
+      }
+      scalar_engine.RunUpwardPhase(sources, scalar_ws);
+      simd_engine.RunUpwardPhase(sources, simd_ws);
+      // Every parent slot, stale ones included: both workspaces ran the
+      // same batches, so even slots behind a +infinity label must agree.
+      const auto same = [&](const char* phase) {
+        EXPECT_TRUE(std::ranges::equal(scalar_engine.RawLabels(scalar_ws),
+                                       simd_engine.RawLabels(simd_ws)))
+            << phase << " labels, k = " << k;
+        const std::span<const VertexId> scalar_parents =
+            scalar_engine.RawParents(scalar_ws);  // phast-lint: allow(stale-parent)
+        const std::span<const VertexId> simd_parents =
+            simd_engine.RawParents(simd_ws);  // phast-lint: allow(stale-parent)
+        EXPECT_TRUE(std::ranges::equal(scalar_parents, simd_parents))
+            << phase << " parents, k = " << k;
+      };
+      same("upward");
+      scalar_engine.FinishExternalSweep(scalar_ws);
+      simd_engine.FinishExternalSweep(simd_ws);
+      scalar_engine.ComputeTrees(sources, scalar_ws);
+      simd_engine.ComputeTrees(sources, simd_ws);
+      same("tree");
+    }
   }
 }
 

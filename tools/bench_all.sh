@@ -15,7 +15,8 @@
 #   BENCH_KERNELS_FILTER         --benchmark_filter   (default all)
 #   BENCH_CUSTOMIZE_ROUNDS       customization rounds (default 2)
 #
-# Aggregated benches: tab1_single_tree, fig1_levels (with a profiled-sweep
+# Aggregated benches: tab1_single_tree, tab2_multi_tree (per-cell time per
+# tree with its upward/sweep split), fig1_levels (with a profiled-sweep
 # section), server (including the fabric replica sweep and the
 # cold-start-vs-copy-load row), ch_preprocessing (build-time scaling with a
 # per-round contraction profile), customization (metric swap vs witness-free
@@ -35,7 +36,8 @@ THREADS_LIST="${BENCH_THREADS_LIST:-1,2,4,8}"
 KERNELS_FILTER="${BENCH_KERNELS_FILTER:-.*}"
 CUSTOMIZE_ROUNDS="${BENCH_CUSTOMIZE_ROUNDS:-2}"
 
-for binary in bench/bench_tab1_single_tree bench/bench_fig1_levels \
+for binary in bench/bench_tab1_single_tree bench/bench_tab2_multi_tree \
+              bench/bench_fig1_levels \
               bench/bench_server bench/bench_ch_preprocessing \
               bench/bench_customization bench/bench_kernels \
               bench/bench_matrix; do
@@ -52,6 +54,11 @@ echo "=== bench_all: tab1_single_tree ===" >&2
 "$BUILD_DIR/bench/bench_tab1_single_tree" \
   --width="$WIDTH" --height="$HEIGHT" --sources="$SOURCES" \
   --json-out="$TMP/tab1_single_tree.json"
+
+echo "=== bench_all: tab2_multi_tree ===" >&2
+"$BUILD_DIR/bench/bench_tab2_multi_tree" \
+  --width="$WIDTH" --height="$HEIGHT" --sources="$SOURCES" \
+  --json-out="$TMP/tab2_multi_tree.json"
 
 echo "=== bench_all: fig1_levels ===" >&2
 "$BUILD_DIR/bench/bench_fig1_levels" \
@@ -90,8 +97,8 @@ import sys
 
 tmp, output = sys.argv[1], sys.argv[2]
 doc = {"schema": "phast-bench-v1", "benches": {}}
-for name in ("tab1_single_tree", "fig1_levels", "server", "ch_preprocessing",
-              "customization", "matrix", "kernels"):
+for name in ("tab1_single_tree", "tab2_multi_tree", "fig1_levels", "server",
+             "ch_preprocessing", "customization", "matrix", "kernels"):
     with open(f"{tmp}/{name}.json", encoding="utf-8") as f:
         doc["benches"][name] = json.load(f)
 with open(output, "w", encoding="utf-8") as f:
